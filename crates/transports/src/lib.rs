@@ -30,6 +30,8 @@ pub mod reactor;
 pub mod ready;
 pub mod rudp;
 pub mod shmem;
+#[cfg(unix)]
+mod sys;
 pub mod tcp;
 pub mod transform;
 pub mod udp;

@@ -7,7 +7,7 @@
 //! deployments the paper targets. This module replaces all of them with
 //! a single `nexus-reactor` thread that multiplexes every registered
 //! socket through `poll(2)`-style readiness over the raw fds (no
-//! dependencies — the one FFI call is declared here) and rings the
+//! dependencies — the FFI calls are hand-declared) and rings the
 //! engine's existing doorbells:
 //!
 //! * a **pausing** registration ([`ReactorReceiver`]) models a receive
@@ -54,32 +54,12 @@ use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-// -- poll(2) FFI -------------------------------------------------------------
-
-#[repr(C)]
-struct PollFd {
-    fd: RawFd,
-    events: i16,
-    revents: i16,
-}
-
-const POLLIN: i16 = 0x001;
-/// `poll(2)` reports error/hangup conditions regardless of `events`, and the
-/// loop fires a registration on *any* nonzero `revents` — a broken fd must
-/// still ring its doorbell so the owner's next drain surfaces the error. The
-/// one condition named explicitly is `POLLNVAL`: an invalid fd must be
-/// dropped from the watch set or the reactor would spin on an
-/// instantly-returning `poll`.
-const POLLNVAL: i16 = 0x020;
-
-#[cfg(target_os = "linux")]
-type NFds = u64;
-#[cfg(not(target_os = "linux"))]
-type NFds = u32;
-
-extern "C" {
-    fn poll(fds: *mut PollFd, nfds: NFds, timeout: i32) -> i32;
-}
+// The loop fires a registration on *any* nonzero `revents` — a broken fd
+// must still ring its doorbell so the owner's next drain surfaces the
+// error. The one condition handled explicitly is `POLLNVAL`: an invalid fd
+// must be dropped from the watch set or the reactor would spin on an
+// instantly-returning `poll`.
+use crate::sys::{poll, NFds, PollFd, POLLIN, POLLNVAL};
 
 // -- epoll FFI (Linux, behind the build-time probe) --------------------------
 
@@ -95,8 +75,7 @@ mod epoll_ffi {
     pub struct EpollEvent {
         pub events: u32,
         /// We store the watched fd here; ownership is resolved through
-        /// the userspace interest mirror, so re-homing an fd to another
-        /// registration never needs a syscall.
+        /// the userspace interest mirror.
         pub data: u64,
     }
 
@@ -205,10 +184,10 @@ impl PollBackend {
 /// instance and `epoll_wait` returns only the ready fds — O(ready) per
 /// wakeup. `interest` mirrors the kernel set so each round issues
 /// `epoll_ctl` only for fds that actually changed (interest-map
-/// diffing); ownership and generations live purely in the mirror, so
-/// re-homing an fd between registrations costs no syscall, while a
-/// *generation* change (the owner resumed with a fresh socket that may
-/// have re-used the fd number) forces a kernel DEL+ADD.
+/// diffing). The kernel drops an entry when its socket closes, and a new
+/// socket may re-use the number, so any change of an fd's owner *or*
+/// generation (the owner resumed with a fresh socket set) forces a kernel
+/// DEL+ADD rather than trusting the old entry.
 #[cfg(have_epoll)]
 struct EpollBackend {
     epfd: RawFd,
@@ -262,14 +241,17 @@ impl EpollBackend {
             self.desired.entry(w.fd).or_insert((w.owner, w.gen));
         }
         self.stale.clear();
-        for (&fd, &(_, gen)) in self.interest.iter() {
+        for (&fd, &entry) in self.interest.iter() {
             match self.desired.get(&fd) {
-                // Same fd, same generation: kernel entry still valid
-                // (an owner change is a pure mirror update).
-                Some(&(_, g)) if g == gen || fd == self.wake_fd => {}
-                // Gone, or same number re-used by a new socket after a
-                // resume: drop the kernel entry (the kernel may already
-                // have auto-removed a closed fd — either way, forget it).
+                // Same fd, same owner, same generation: the kernel entry
+                // still watches the same open socket.
+                Some(&want) if want == entry => {}
+                // Gone, or the number now belongs to another socket: a
+                // resume (new generation) or a new owner whose socket
+                // re-used a closed fd's number. Drop the kernel entry (the
+                // kernel may already have auto-removed it with the closed
+                // socket — either way, forget it) so the loop below ADDs
+                // the current socket.
                 _ => self.stale.push(fd),
             }
         }
@@ -278,27 +260,21 @@ impl EpollBackend {
             self.ctl(epoll_ffi::EPOLL_CTL_DEL, fd);
             self.interest.remove(&fd);
         }
+        // Every surviving entry matches; add what is missing.
         for (&fd, &(owner, gen)) in self.desired.iter() {
-            match self.interest.get(&fd) {
-                Some(&(o, g)) if o == owner && g == gen => {}
-                Some(_) => {
-                    // Re-homed to another registration (or generation
-                    // handled above): update the mirror only.
-                    self.interest.insert(fd, (owner, gen));
-                }
-                None => {
-                    if self.ctl(epoll_ffi::EPOLL_CTL_ADD, fd) {
-                        self.interest.insert(fd, (owner, gen));
-                    } else if fd != self.wake_fd {
-                        // Closed or unpollable: surface as invalid so
-                        // the loop prunes it from its registration.
-                        fired.push(Fired {
-                            fd,
-                            owner,
-                            invalid: true,
-                        });
-                    }
-                }
+            if self.interest.contains_key(&fd) {
+                continue;
+            }
+            if self.ctl(epoll_ffi::EPOLL_CTL_ADD, fd) {
+                self.interest.insert(fd, (owner, gen));
+            } else if fd != self.wake_fd {
+                // Closed or unpollable: surface as invalid so the loop
+                // prunes it from its registration.
+                fired.push(Fired {
+                    fd,
+                    owner,
+                    invalid: true,
+                });
             }
         }
         // SAFETY: `events` is a live, exclusively-borrowed buffer;
@@ -881,6 +857,54 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Regression (lost readiness after fd reuse): a socket closed while
+    /// watched takes its kernel epoll entry with it. When a new socket
+    /// re-uses the fd number under a different owner at the same
+    /// generation, the backend used to update only its mirror, so the new
+    /// socket was never watched and its data never rang a doorbell.
+    #[cfg(have_epoll)]
+    #[test]
+    fn epoll_watches_fd_number_reused_by_new_owner() {
+        use std::os::unix::io::{FromRawFd, IntoRawFd};
+        extern "C" {
+            fn dup2(old: RawFd, new: RawFd) -> RawFd;
+        }
+        let wake = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        let mut backend = EpollBackend::new(wake.as_raw_fd()).expect("epoll instance");
+        let mut fired = Vec::new();
+
+        let old = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        let fd = old.into_raw_fd();
+        let watch = |owner| Watch { fd, owner, gen: 0 };
+        backend.wait_ready(&[watch(1)], 0, &mut fired);
+        assert!(fired.is_empty(), "idle socket fired");
+
+        // Put a new socket on the same fd number. `dup2` closes the old
+        // socket and re-uses its number in one step, so no concurrently
+        // running test can take the number in between, as it could after
+        // a plain close + bind.
+        let fresh = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        let addr = fresh.local_addr().unwrap();
+        // SAFETY: `fresh` is a live socket and `fd` is the number this test
+        // took ownership of through `into_raw_fd`; dup2 atomically closes
+        // that old socket and makes `fd` a second handle to `fresh`.
+        assert_eq!(unsafe { dup2(fresh.as_raw_fd(), fd) }, fd);
+        drop(fresh);
+        // SAFETY: `fd` is open (dup2 succeeded) and nothing else owns it.
+        let reused = unsafe { UdpSocket::from_raw_fd(fd) };
+
+        let tx = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        tx.send_to(&[7], addr).unwrap();
+        backend.wait_ready(&[watch(2)], 1_000, &mut fired);
+        assert!(
+            fired
+                .iter()
+                .any(|f| f.fd == fd && f.owner == 2 && !f.invalid),
+            "new socket never watched"
+        );
+        drop(reused);
     }
 
     #[test]

@@ -101,8 +101,11 @@ fn service_threads_scale_with_workers_not_sockets() {
 
     // The budget: one reactor, zero per-socket pumps, zero per-connection
     // retransmit threads — with 8 contexts × 3 socket receivers plus 8
-    // live RUDP connections in flight.
-    let names = thread_names();
+    // live RUDP connections in flight. A single snapshot once caught the
+    // reactor still carrying the test thread's `comm` (see
+    // `await_prefix_count`), so the census waits for its name, as it does
+    // for the shard workers below.
+    let names = await_prefix_count("nexus-reactor", 1);
     assert_eq!(
         count_prefix(&names, "nexus-ready-pum"),
         0,
